@@ -20,6 +20,7 @@
 //! time steps of the schedule.
 
 use flowc_logic::{GateKind, Network};
+use flowc_xbar::XbarError;
 
 /// Configuration of the MAGIC array (the paper's CONTRA settings).
 #[derive(Debug, Clone, Copy)]
@@ -246,27 +247,48 @@ impl NorBuilder {
 }
 
 impl NorNetlist {
-    /// Evaluates the NOR netlist (for equivalence testing).
+    /// Evaluates the NOR netlist on one assignment (for equivalence
+    /// testing).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `inputs` has the wrong length.
-    pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.num_inputs);
+    /// [`XbarError::InputLen`] when `inputs` has the wrong length.
+    pub fn eval(&self, inputs: &[bool]) -> Result<Vec<bool>, XbarError> {
+        let words: Vec<u64> = inputs
+            .iter()
+            .map(|&b| if b { u64::MAX } else { 0 })
+            .collect();
+        Ok(self.eval64(&words)?.iter().map(|&w| w != 0).collect())
+    }
+
+    /// Evaluates 64 assignments at once, one lane per bit (the layout of
+    /// `Crossbar::evaluate64`): every gate is one bitwise word NOR.
+    ///
+    /// # Errors
+    ///
+    /// [`XbarError::InputLen`] when `input_words` has the wrong length.
+    pub fn eval64(&self, input_words: &[u64]) -> Result<Vec<u64>, XbarError> {
+        if input_words.len() != self.num_inputs {
+            return Err(XbarError::InputLen {
+                got: input_words.len(),
+                expected: self.num_inputs,
+            });
+        }
         let mut values = Vec::with_capacity(self.num_inputs + self.gates.len());
-        values.extend_from_slice(inputs);
+        values.extend_from_slice(input_words);
         for ops in &self.gates {
-            let v = !ops.iter().any(|&s| values[s]);
+            let v = !ops.iter().fold(0, |acc, &s| acc | values[s]);
             values.push(v);
         }
-        self.outputs
+        Ok(self
+            .outputs
             .iter()
             .map(|&s| match s {
-                CONST0 => false,
-                CONST1 => true,
+                CONST0 => 0,
+                CONST1 => u64::MAX,
                 _ => values[s],
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -381,7 +403,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                nor.eval(&vals),
+                nor.eval(&vals).unwrap(),
                 network.simulate(&vals).unwrap(),
                 "NOR decomposition mismatch on {vals:?}"
             );
@@ -424,7 +446,8 @@ mod tests {
         n.mark_output(z);
         n.mark_output(o);
         let nor = NorNetlist::from_network(&n);
-        assert_eq!(nor.eval(&[true]), vec![false, true]);
+        assert_eq!(nor.eval(&[true]).unwrap(), vec![false, true]);
+        assert_eq!(nor.eval64(&[0b10]).unwrap(), vec![0, u64::MAX]);
         assert_eq!(nor.num_gates(), 0);
     }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 use flowc_compact::{synthesize_constrained, ConstraintError, SizeLimits};
 use flowc_logic::{NetId, Network};
 use flowc_xbar::metrics::CrossbarMetrics;
-use flowc_xbar::Crossbar;
+use flowc_xbar::{Crossbar, XbarError};
 
 use crate::backend::{
     Backend, BackendError, DesignArtifact, MappedDesign, MappingBackend, SynthesisCtx,
@@ -63,25 +63,50 @@ impl TileSchedule {
     ///
     /// # Errors
     ///
-    /// A message when `inputs` has the wrong arity or a tile rejects its
-    /// slice.
-    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, String> {
-        if inputs.len() != self.num_inputs {
-            return Err(format!(
-                "expected {} inputs, got {}",
-                self.num_inputs,
-                inputs.len()
-            ));
-        }
+    /// [`XbarError::InputLen`] when `inputs` has the wrong arity, or the
+    /// first tile's own evaluation error.
+    pub fn evaluate(&self, inputs: &[bool]) -> Result<Vec<bool>, XbarError> {
+        self.check_arity(inputs.len())?;
         let mut out = vec![false; self.num_outputs];
         for tile in &self.tiles {
             let local: Vec<bool> = tile.input_map.iter().map(|&i| inputs[i]).collect();
-            let vals = tile.crossbar.evaluate(&local).map_err(|e| e.to_string())?;
+            let vals = tile.crossbar.evaluate(&local)?;
             for (&slot, &v) in tile.output_slots.iter().zip(&vals) {
                 out[slot] = v;
             }
         }
         Ok(out)
+    }
+
+    /// [`Self::evaluate`] on 64 assignments at once (the lane layout of
+    /// [`Crossbar::evaluate64`]): tiles run in schedule order, each on its
+    /// inputs' lane words gathered from the global ones.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::evaluate`].
+    pub fn evaluate64(&self, input_words: &[u64]) -> Result<Vec<u64>, XbarError> {
+        self.check_arity(input_words.len())?;
+        let mut out = vec![0u64; self.num_outputs];
+        for tile in &self.tiles {
+            let local: Vec<u64> = tile.input_map.iter().map(|&i| input_words[i]).collect();
+            let vals = tile.crossbar.evaluate64(&local)?;
+            for (&slot, &v) in tile.output_slots.iter().zip(&vals) {
+                out[slot] = v;
+            }
+        }
+        Ok(out)
+    }
+
+    fn check_arity(&self, got: usize) -> Result<(), XbarError> {
+        if got == self.num_inputs {
+            Ok(())
+        } else {
+            Err(XbarError::InputLen {
+                got,
+                expected: self.num_inputs,
+            })
+        }
     }
 
     /// Inter-tile transfer operations: every primary input must be

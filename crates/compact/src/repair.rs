@@ -287,15 +287,12 @@ fn permutation_search(
         // Rows against the current column placement.
         let row_adj: Vec<Vec<usize>> = (0..rows)
             .map(|lr| {
+                let line: Vec<DeviceAssignment> = (0..cols).map(|lc| cell(lr, lc)).collect();
                 (0..phys_rows)
                     .filter(|&pr| {
-                        (0..cols).all(|lc| {
-                            cell_compatible(
-                                cell(lr, lc),
-                                defects.cell_state(pr, col_perm[lc]),
-                                strict,
-                            )
-                        })
+                        line.iter()
+                            .zip(&col_perm)
+                            .all(|(&a, &pc)| cell_compatible(a, defects.cell_state(pr, pc), strict))
                     })
                     .collect()
             })
@@ -305,15 +302,12 @@ fn permutation_search(
         // Columns against the new row placement.
         let col_adj: Vec<Vec<usize>> = (0..cols)
             .map(|lc| {
+                let line: Vec<DeviceAssignment> = (0..rows).map(|lr| cell(lr, lc)).collect();
                 (0..phys_cols)
                     .filter(|&pc| {
-                        (0..rows).all(|lr| {
-                            cell_compatible(
-                                cell(lr, lc),
-                                defects.cell_state(row_perm[lr], pc),
-                                strict,
-                            )
-                        })
+                        line.iter()
+                            .zip(&row_perm)
+                            .all(|(&a, &pr)| cell_compatible(a, defects.cell_state(pr, pc), strict))
                     })
                     .collect()
             })

@@ -19,6 +19,7 @@
 //! | `robdd-diagonal`  | per-output ROBDD flow merged diagonally           |
 //! | `magic-nor`       | CONTRA-style NOR netlist execution                |
 //! | `partitioned`     | area-constrained tile schedule (small tile, so splits happen) |
+//! | `eval-paths`      | every backend's scalar and 64-lane evaluation vs `simulate64` |
 //! | symbolic          | `compact::formal::verify_symbolic` on the default design |
 //!
 //! The baseline rows are one [`BackendOracle`] each: every
@@ -33,16 +34,14 @@
 use std::fmt;
 use std::sync::Arc;
 
-use flowc_baselines::{
-    partitioned_with_tile, Backend, DesignArtifact, MappingBackend, SynthesisCtx,
-};
+use flowc_baselines::{partitioned_with_tile, Backend, MappedDesign, MappingBackend, SynthesisCtx};
 use flowc_bdd::build_sbdd;
 use flowc_budget::Budget;
 use flowc_compact::{
     synthesize, synthesize_in, verify_symbolic, Config, Session, SessionConfig, VhStrategy,
 };
 use flowc_logic::Network;
-use flowc_xbar::Crossbar;
+use flowc_xbar::verify::{pack_lanes, unpack_lane};
 
 use crate::rng::splitmix64;
 
@@ -61,23 +60,16 @@ pub trait Oracle {
     fn table(&self, network: &Network, assignments: &[Vec<bool>]) -> Result<Table, String>;
 }
 
-/// Evaluates a crossbar over the assignment set 64 lanes at a time.
-fn crossbar_table(xbar: &Crossbar, assignments: &[Vec<bool>]) -> Result<Table, String> {
-    let k = xbar.num_inputs();
+/// Evaluates the assignment set 64 lanes at a time through `eval64`.
+fn wide_table<E: fmt::Display>(
+    assignments: &[Vec<bool>],
+    num_inputs: usize,
+    eval64: impl Fn(&[u64]) -> Result<Vec<u64>, E>,
+) -> Result<Table, String> {
     let mut table = Vec::with_capacity(assignments.len());
     for chunk in assignments.chunks(64) {
-        let mut words = vec![0u64; k];
-        for (lane, a) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate() {
-                if a[i] {
-                    *w |= 1 << lane;
-                }
-            }
-        }
-        let wide = xbar.evaluate64(&words).map_err(|e| e.to_string())?;
-        for lane in 0..chunk.len() {
-            table.push(wide.iter().map(|w| w >> lane & 1 == 1).collect());
-        }
+        let wide = eval64(&pack_lanes(chunk, num_inputs)).map_err(|e| e.to_string())?;
+        table.extend((0..chunk.len()).map(|lane| unpack_lane(&wide, lane)));
     }
     Ok(table)
 }
@@ -156,7 +148,9 @@ impl Oracle for CompactOracle {
             None => synthesize(network, &self.config),
         }
         .map_err(|e| e.to_string())?;
-        crossbar_table(&r.crossbar, assignments)
+        wide_table(assignments, r.crossbar.num_inputs(), |w| {
+            r.crossbar.evaluate64(w)
+        })
     }
 }
 
@@ -205,19 +199,109 @@ impl Oracle for BackendOracle {
     }
 
     fn table(&self, network: &Network, assignments: &[Vec<bool>]) -> Result<Table, String> {
-        let mut ctx = SynthesisCtx::new(self.config.clone()).with_budget(self.budget.clone());
-        if let Some(session) = &self.session {
-            ctx = ctx.with_session(session);
+        let design = synthesize_backend(
+            &self.backend,
+            network,
+            &self.config,
+            self.session.as_deref(),
+            &self.budget,
+        )?;
+        wide_table(assignments, network.num_inputs(), |w| design.evaluate64(w))
+    }
+}
+
+fn synthesize_backend(
+    backend: &Backend,
+    network: &Network,
+    config: &Config,
+    session: Option<&Session>,
+    budget: &Budget,
+) -> Result<MappedDesign, String> {
+    let mut ctx = SynthesisCtx::new(config.clone()).with_budget(budget.clone());
+    if let Some(session) = session {
+        ctx = ctx.with_session(session);
+    }
+    backend.synthesize(network, &ctx).map_err(|e| e.to_string())
+}
+
+/// The evaluation-path cross-check: every backend's design is evaluated
+/// through each of its paths — scalar [`MappedDesign::evaluate`] (scalar
+/// `Crossbar::evaluate` for crossbars and tiles), `Crossbar::evaluate64`
+/// for monolithic designs, and [`MappedDesign::evaluate64`] — and each
+/// must agree with [`Network::simulate64`] on every assignment. A
+/// disagreeing path fails the oracle, naming backend, path and witness;
+/// otherwise its table is the `simulate64` one, which the panel compares
+/// with the scalar reference.
+#[derive(Debug, Clone)]
+pub struct EvalPathsOracle {
+    backends: Vec<Backend>,
+    session: Arc<Session>,
+    budget: Budget,
+}
+
+impl EvalPathsOracle {
+    /// An oracle over `backends`, synthesizing through `session` under
+    /// `budget`.
+    pub fn new(backends: Vec<Backend>, session: Arc<Session>, budget: Budget) -> Self {
+        EvalPathsOracle {
+            backends,
+            session,
+            budget,
         }
-        let design = self
-            .backend
-            .synthesize(network, &ctx)
-            .map_err(|e| e.to_string())?;
-        match &design.artifact {
-            // Monolithic crossbars batch 64 lanes at a time.
-            DesignArtifact::Monolithic(xbar) => crossbar_table(xbar, assignments),
-            _ => assignments.iter().map(|a| design.evaluate(a)).collect(),
+    }
+}
+
+impl Oracle for EvalPathsOracle {
+    fn name(&self) -> String {
+        "eval-paths".into()
+    }
+
+    fn table(&self, network: &Network, assignments: &[Vec<bool>]) -> Result<Table, String> {
+        let k = network.num_inputs();
+        let want = wide_table(assignments, k, |w| network.simulate64(w))?;
+        for backend in &self.backends {
+            let design = synthesize_backend(
+                backend,
+                network,
+                &Config::default(),
+                Some(&self.session),
+                &self.budget,
+            )?;
+            let mut paths = vec![
+                (
+                    "evaluate",
+                    assignments
+                        .iter()
+                        .map(|a| design.evaluate(a))
+                        .collect::<Result<Table, _>>()?,
+                ),
+                (
+                    "evaluate64",
+                    wide_table(assignments, k, |w| design.evaluate64(w))?,
+                ),
+            ];
+            if let Some(xbar) = design.crossbar() {
+                paths.push((
+                    "Crossbar::evaluate64",
+                    wide_table(assignments, k, |w| xbar.evaluate64(w))?,
+                ));
+            }
+            for (path, got) in paths {
+                if let Some(i) = (0..assignments.len()).find(|&i| got[i] != want[i]) {
+                    let bits = |v: &[bool]| -> String {
+                        v.iter().map(|&b| if b { '1' } else { '0' }).collect()
+                    };
+                    return Err(format!(
+                        "{} {path} disagrees with simulate64 on x={}: {} vs {}",
+                        design.backend,
+                        bits(&assignments[i]),
+                        bits(&got[i]),
+                        bits(&want[i])
+                    ));
+                }
+            }
         }
+        Ok(want)
     }
 }
 
@@ -275,8 +359,9 @@ pub fn default_gammas() -> Vec<f64> {
 /// MIP across the γ sweep, the exact odd-cycle-transversal route, and the
 /// greedy heuristic), and one [`BackendOracle`] per non-COMPACT
 /// [`Backend`] (the partitioned one on a deliberately small tile so tile
-/// splits actually happen on fuzz networks). With the `broken-oracle`
-/// feature the deliberately wrong oracle is appended.
+/// splits actually happen on fuzz networks), then the [`EvalPathsOracle`]
+/// over every backend. With the `broken-oracle` feature the deliberately
+/// wrong oracle is appended.
 pub fn shipped_oracles(gammas: &[f64]) -> Vec<Box<dyn Oracle>> {
     shipped_oracles_budgeted(gammas, &Budget::unlimited())
 }
@@ -329,20 +414,29 @@ pub fn shipped_oracles_budgeted(gammas: &[f64], budget: &Budget) -> Vec<Box<dyn 
             Arc::clone(&session),
         )));
     }
-    for backend in [
+    let baselines = [
         Backend::parse("staircase").expect("shipped name"),
         Backend::parse("robdd-diagonal").expect("shipped name"),
         Backend::parse("magic-nor").expect("shipped name"),
         // A small tile so panel-sized networks actually split; generous
         // enough that any single output cone of a fuzz network fits.
         partitioned_with_tile(16, 16),
-    ] {
+    ];
+    for backend in &baselines {
         oracles.push(Box::new(
-            BackendOracle::new(backend)
+            BackendOracle::new(backend.clone())
                 .with_session(Arc::clone(&session))
                 .with_budget(budget.clone()),
         ));
     }
+    let every_backend = std::iter::once(Backend::default())
+        .chain(baselines)
+        .collect();
+    oracles.push(Box::new(EvalPathsOracle::new(
+        every_backend,
+        Arc::clone(&session),
+        budget.clone(),
+    )));
     #[cfg(feature = "broken-oracle")]
     oracles.push(Box::new(BrokenXorOracle));
     oracles

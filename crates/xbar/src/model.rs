@@ -1,3 +1,4 @@
+use std::collections::VecDeque;
 use std::fmt;
 
 /// What a memristor junction is programmed from.
@@ -24,8 +25,8 @@ impl DeviceAssignment {
     ///
     /// An out-of-range literal index is a programming bug; it trips a
     /// `debug_assert` in debug builds and reads as non-conducting in
-    /// release builds. Evaluation paths use [`Self::conducts_checked`],
-    /// which surfaces the bug as a typed error instead.
+    /// release builds. [`Crossbar`] evaluation checks every programmed
+    /// literal first and surfaces the bug as [`XbarError::BadLiteral`].
     pub fn conducts(self, inputs: &[bool]) -> bool {
         match self {
             DeviceAssignment::Off => false,
@@ -38,26 +39,6 @@ impl DeviceAssignment {
                 );
                 inputs.get(input).is_some_and(|&b| b ^ negated)
             }
-        }
-    }
-
-    /// Checked variant of [`Self::conducts`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::BadLiteral`] when a literal's input index is
-    /// out of range for the supplied assignment.
-    pub fn conducts_checked(self, inputs: &[bool]) -> crate::Result<bool> {
-        match self {
-            DeviceAssignment::Off => Ok(false),
-            DeviceAssignment::On => Ok(true),
-            DeviceAssignment::Literal { input, negated } => inputs
-                .get(input)
-                .map(|&b| b ^ negated)
-                .ok_or(XbarError::BadLiteral {
-                    input,
-                    num_inputs: inputs.len(),
-                }),
         }
     }
 
@@ -181,16 +162,73 @@ impl From<flowc_budget::BudgetExceeded> for XbarError {
 
 impl std::error::Error for XbarError {}
 
-/// A crossbar design: the device grid plus input/output port bindings.
+/// One programmed junction seen from one of its two wires: the wire on
+/// the other side and the junction's literal-table code.
+///
+/// Codes index the per-call literal table of the flow kernel: `0` is
+/// [`DeviceAssignment::On`], `1 + 2i` is `x_i` and `2 + 2i` is `!x_i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Junction {
+    wire: u32,
+    code: u32,
+}
+
+/// The literal-table code of a programmed assignment (`None` for
+/// [`DeviceAssignment::Off`], or for a literal index too large to encode).
+fn encode(a: DeviceAssignment) -> Option<u32> {
+    match a {
+        DeviceAssignment::Off => None,
+        DeviceAssignment::On => Some(0),
+        DeviceAssignment::Literal { input, negated } => u32::try_from(input)
+            .ok()
+            .filter(|&i| i < u32::MAX / 2)
+            .map(|i| 1 + 2 * i + u32::from(negated)),
+    }
+}
+
+fn decode(code: u32) -> DeviceAssignment {
+    match code {
+        0 => DeviceAssignment::On,
+        c => DeviceAssignment::Literal {
+            input: (c as usize - 1) / 2,
+            negated: c % 2 == 0,
+        },
+    }
+}
+
+/// Writes (or, for `code == None`, removes) the junction to `wire` in a
+/// wire's adjacency list, keeping the list sorted by wire.
+fn write_junction(list: &mut Vec<Junction>, wire: u32, code: Option<u32>) {
+    match (list.binary_search_by_key(&wire, |j| j.wire), code) {
+        (Ok(i), Some(code)) => list[i].code = code,
+        (Ok(i), None) => {
+            list.remove(i);
+        }
+        (Err(i), Some(code)) => list.insert(i, Junction { wire, code }),
+        (Err(_), None) => {}
+    }
+}
+
+/// A crossbar design: the programmed junctions plus input/output port
+/// bindings.
 ///
 /// Rows are wordlines, columns are bitlines. `input_row` is the wordline
 /// driven with the supply voltage during evaluation (the paper drives the
 /// bottom-most wordline); each output is sensed on its own wordline.
+///
+/// Only programmed junctions are stored, as two sorted adjacency lists:
+/// each row lists its junctions by column and each column by row. The
+/// lists are the wire graph the flow kernel walks, so the store is the
+/// evaluation program; unset junctions cost nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,
-    devices: Vec<DeviceAssignment>,
+    row_junctions: Vec<Vec<Junction>>,
+    col_junctions: Vec<Vec<Junction>>,
+    /// Programmed literals whose input index is `>= num_inputs`; any such
+    /// junction makes evaluation fail with [`XbarError::BadLiteral`].
+    bad_literals: usize,
     num_inputs: usize,
     input_row: Option<usize>,
     outputs: Vec<Port>,
@@ -201,11 +239,21 @@ pub struct Crossbar {
 impl Crossbar {
     /// Creates an all-off crossbar with `rows × cols` junctions for a
     /// function of `num_inputs` Boolean inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` or `cols` exceeds `u32::MAX`.
     pub fn new(rows: usize, cols: usize, num_inputs: usize) -> Self {
+        assert!(
+            u32::try_from(rows).is_ok() && u32::try_from(cols).is_ok(),
+            "crossbar of {rows}×{cols} exceeds u32 wire indices"
+        );
         Crossbar {
             rows,
             cols,
-            devices: vec![DeviceAssignment::Off; rows * cols],
+            row_junctions: vec![Vec::new(); rows],
+            col_junctions: vec![Vec::new(); cols],
+            bad_literals: 0,
             num_inputs,
             input_row: None,
             outputs: Vec::new(),
@@ -245,14 +293,37 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Programs the junction at `(row, col)`.
+    fn is_bad(&self, a: DeviceAssignment) -> bool {
+        matches!(a, DeviceAssignment::Literal { input, .. } if input >= self.num_inputs)
+    }
+
+    /// Programs the junction at `(row, col)`; writing
+    /// [`DeviceAssignment::Off`] removes it.
     ///
     /// # Errors
     ///
-    /// Returns an error when either index is out of range.
+    /// Returns an error when either index is out of range, or
+    /// [`XbarError::BadLiteral`] for a literal whose input index is too
+    /// large to encode (`>= 2^31 - 1`, far beyond any practical input
+    /// count).
     pub fn set(&mut self, row: usize, col: usize, a: DeviceAssignment) -> crate::Result<()> {
         self.check(row, col)?;
-        self.devices[row * self.cols + col] = a;
+        let code = encode(a);
+        if let (DeviceAssignment::Literal { input, .. }, None) = (a, code) {
+            return Err(XbarError::BadLiteral {
+                input,
+                num_inputs: self.num_inputs,
+            });
+        }
+        if self.is_bad(self.get(row, col)?) {
+            self.bad_literals -= 1;
+        }
+        if self.is_bad(a) {
+            self.bad_literals += 1;
+        }
+        // Indices fit: `new` bounds both dimensions by u32::MAX.
+        write_junction(&mut self.row_junctions[row], col as u32, code);
+        write_junction(&mut self.col_junctions[col], row as u32, code);
         Ok(())
     }
 
@@ -263,7 +334,10 @@ impl Crossbar {
     /// Returns an error when either index is out of range.
     pub fn get(&self, row: usize, col: usize) -> crate::Result<DeviceAssignment> {
         self.check(row, col)?;
-        Ok(self.devices[row * self.cols + col])
+        let list = &self.row_junctions[row];
+        Ok(list
+            .binary_search_by_key(&(col as u32), |j| j.wire)
+            .map_or(DeviceAssignment::Off, |i| decode(list[i].code)))
     }
 
     /// Binds the input port (driven wordline).
@@ -354,21 +428,45 @@ impl Crossbar {
     }
 
     /// Iterates over all non-[`DeviceAssignment::Off`] junctions as
-    /// `(row, col, assignment)`.
+    /// `(row, col, assignment)`, in row-major order.
     pub fn programmed_devices(
         &self,
     ) -> impl Iterator<Item = (usize, usize, DeviceAssignment)> + '_ {
-        self.devices.iter().enumerate().filter_map(move |(i, &a)| {
-            if a == DeviceAssignment::Off {
-                None
-            } else {
-                Some((i / self.cols, i % self.cols, a))
-            }
+        self.row_junctions.iter().enumerate().flat_map(|(r, list)| {
+            list.iter()
+                .map(move |j| (r, j.wire as usize, decode(j.code)))
+        })
+    }
+
+    /// Checks an evaluation's arity and the programmed literals against
+    /// it: [`XbarError::InputLen`] first, then [`XbarError::BadLiteral`]
+    /// for the first out-of-range literal in row-major order, whether or
+    /// not the flow would ever reach it.
+    fn check_inputs(&self, got: usize) -> crate::Result<()> {
+        if got != self.num_inputs {
+            return Err(XbarError::InputLen {
+                got,
+                expected: self.num_inputs,
+            });
+        }
+        if self.bad_literals == 0 {
+            return Ok(());
+        }
+        let input = self
+            .programmed_devices()
+            .find_map(|(_, _, a)| match a {
+                DeviceAssignment::Literal { input, .. } if input >= got => Some(input),
+                _ => None,
+            })
+            .expect("bad_literals counts a programmed literal");
+        Err(XbarError::BadLiteral {
+            input,
+            num_inputs: got,
         })
     }
 
     /// Programs the crossbar for an input assignment: returns the conducting
-    /// state of each junction (row-major).
+    /// state of each junction (row-major, dense `rows × cols`).
     ///
     /// # Errors
     ///
@@ -376,16 +474,12 @@ impl Crossbar {
     /// [`XbarError::BadLiteral`] when a programmed literal's index is out
     /// of range.
     pub fn program(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
-        if inputs.len() != self.num_inputs {
-            return Err(XbarError::InputLen {
-                got: inputs.len(),
-                expected: self.num_inputs,
-            });
+        self.check_inputs(inputs.len())?;
+        let mut conducting = vec![false; self.rows * self.cols];
+        for (r, c, a) in self.programmed_devices() {
+            conducting[r * self.cols + c] = a.conducts(inputs);
         }
-        self.devices
-            .iter()
-            .map(|a| a.conducts_checked(inputs))
-            .collect()
+        Ok(conducting)
     }
 
     /// Flow-based evaluation: programs the devices and returns, for each
@@ -395,120 +489,104 @@ impl Crossbar {
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::NoInputPort`] when no input row is bound, or
-    /// [`XbarError::InputLen`] on a wrong-sized assignment.
+    /// Returns [`XbarError::NoInputPort`] when no input row is bound,
+    /// [`XbarError::InputLen`] on a wrong-sized assignment, or
+    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
+    /// of range — the same errors, in the same order, as
+    /// [`Crossbar::evaluate64`].
     pub fn evaluate(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
         let reached = self.reachable_rows(inputs)?;
         Ok(self.outputs.iter().map(|p| reached[p.row]).collect())
     }
 
     /// The set of wordlines electrically connected to the input wordline
-    /// under an assignment (BFS over the bipartite wire graph).
+    /// under an assignment.
     ///
     /// # Errors
     ///
     /// See [`Crossbar::evaluate`].
     pub fn reachable_rows(&self, inputs: &[bool]) -> crate::Result<Vec<bool>> {
-        let input_row = self.input_row.ok_or(XbarError::NoInputPort)?;
-        let conducting = self.program(inputs)?;
-        // Node ids: rows are 0..R, columns are R..R+C.
-        let mut row_adj: Vec<Vec<usize>> = vec![Vec::new(); self.rows];
-        let mut col_adj: Vec<Vec<usize>> = vec![Vec::new(); self.cols];
-        for (i, &on) in conducting.iter().enumerate() {
-            if on {
-                let (r, c) = (i / self.cols, i % self.cols);
-                row_adj[r].push(c);
-                col_adj[c].push(r);
-            }
-        }
-        let mut row_seen = vec![false; self.rows];
-        let mut col_seen = vec![false; self.cols];
-        let mut stack = vec![(true, input_row)];
-        row_seen[input_row] = true;
-        while let Some((is_row, idx)) = stack.pop() {
-            if is_row {
-                for &c in &row_adj[idx] {
-                    if !col_seen[c] {
-                        col_seen[c] = true;
-                        stack.push((false, c));
-                    }
-                }
-            } else {
-                for &r in &col_adj[idx] {
-                    if !row_seen[r] {
-                        row_seen[r] = true;
-                        stack.push((true, r));
-                    }
-                }
-            }
-        }
-        Ok(row_seen)
+        // One assignment broadcast to every lane: all lanes move together,
+        // so the kernel does the work of one.
+        let words: Vec<u64> = inputs
+            .iter()
+            .map(|&b| if b { u64::MAX } else { 0 })
+            .collect();
+        Ok(self.row_reach(&words)?.iter().map(|&m| m != 0).collect())
     }
 
     /// Evaluates 64 input assignments at once: bit `k` of `input_words[i]`
     /// is input `i` in assignment `k`; bit `k` of output word `j` reports
-    /// output `j` under assignment `k`. Reachability is propagated as lane
-    /// masks to a fixpoint, so the cost is shared across all 64 lanes —
-    /// this is what makes large verification sweeps cheap.
+    /// output `j` under assignment `k`. Reachability travels as 64-bit
+    /// lane masks through one worklist pass over the programmed junctions
+    /// (see [`Crossbar::evaluate`] for the scalar view of the same
+    /// kernel), so its cost is shared across all 64 lanes — this is what
+    /// makes large verification sweeps cheap.
     ///
     /// # Errors
     ///
-    /// Returns [`XbarError::NoInputPort`] when no input row is bound, or
-    /// [`XbarError::InputLen`] on a wrong-sized assignment.
+    /// Returns [`XbarError::NoInputPort`] when no input row is bound,
+    /// [`XbarError::InputLen`] on a wrong-sized assignment, or
+    /// [`XbarError::BadLiteral`] when a programmed literal's index is out
+    /// of range (even on a junction no path reaches).
     pub fn evaluate64(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
+        let reach = self.row_reach(input_words)?;
+        Ok(self.outputs.iter().map(|p| reach[p.row]).collect())
+    }
+
+    /// Checks the call, builds the literal table and runs the flow
+    /// kernel; returns the reach mask of every row.
+    fn row_reach(&self, input_words: &[u64]) -> crate::Result<Vec<u64>> {
         let input_row = self.input_row.ok_or(XbarError::NoInputPort)?;
-        if input_words.len() != self.num_inputs {
-            return Err(XbarError::InputLen {
-                got: input_words.len(),
-                expected: self.num_inputs,
-            });
+        self.check_inputs(input_words.len())?;
+        let mut literals = Vec::with_capacity(1 + 2 * input_words.len());
+        literals.push(u64::MAX);
+        for &w in input_words {
+            literals.extend([w, !w]);
         }
-        // Conductance mask per programmed device.
-        let mut devices: Vec<(usize, usize, u64)> = Vec::new();
-        for (r, c, a) in self.programmed_devices() {
-            let mask = match a {
-                DeviceAssignment::Off => 0,
-                DeviceAssignment::On => u64::MAX,
-                DeviceAssignment::Literal { input, negated } => {
-                    let word = *input_words.get(input).ok_or(XbarError::BadLiteral {
-                        input,
-                        num_inputs: input_words.len(),
-                    })?;
-                    if negated {
-                        !word
-                    } else {
-                        word
-                    }
-                }
+        let mut reach = self.flow(input_row, &literals);
+        reach.truncate(self.rows);
+        Ok(reach)
+    }
+
+    /// The flow kernel. Wires are numbered rows `0..R`, then columns
+    /// `R..R+C`; `literals` maps each junction code to its conducting
+    /// lanes. Starting from the input row with every lane set, a FIFO
+    /// worklist hands each wire the lanes it gained since it was last
+    /// visited; those lanes cross each conducting junction to wires that
+    /// lack them. A wire is queued only when it gains lanes while not
+    /// already queued, so the queue never holds more than `R + C` wires.
+    /// FIFO order matters: it settles wires roughly breadth-first, while a
+    /// stack revisits deep wires once per lane group that reaches them.
+    fn flow(&self, input_row: usize, literals: &[u64]) -> Vec<u64> {
+        let rows = self.rows;
+        let wires = rows + self.cols;
+        let mut reach = vec![0u64; wires];
+        let mut gained = vec![0u64; wires];
+        let mut queue = VecDeque::with_capacity(wires);
+        reach[input_row] = u64::MAX;
+        gained[input_row] = u64::MAX;
+        queue.push_back(input_row);
+        while let Some(w) = queue.pop_front() {
+            let lanes = std::mem::take(&mut gained[w]);
+            let (junctions, offset) = if w < rows {
+                (&self.row_junctions[w], rows)
+            } else {
+                (&self.col_junctions[w - rows], 0)
             };
-            if mask != 0 {
-                devices.push((r, c, mask));
-            }
-        }
-        let mut row_reach = vec![0u64; self.rows];
-        let mut col_reach = vec![0u64; self.cols];
-        row_reach[input_row] = u64::MAX;
-        // Fixpoint propagation over the bipartite wire graph; terminates in
-        // at most rows+cols sweeps (each sweep extends shortest paths).
-        loop {
-            let mut changed = false;
-            for &(r, c, mask) in &devices {
-                let to_col = row_reach[r] & mask & !col_reach[c];
-                if to_col != 0 {
-                    col_reach[c] |= to_col;
-                    changed = true;
-                }
-                let to_row = col_reach[c] & mask & !row_reach[r];
-                if to_row != 0 {
-                    row_reach[r] |= to_row;
-                    changed = true;
+            for j in junctions {
+                let to = offset + j.wire as usize;
+                let new = lanes & literals[j.code as usize] & !reach[to];
+                if new != 0 {
+                    reach[to] |= new;
+                    if gained[to] == 0 {
+                        queue.push_back(to);
+                    }
+                    gained[to] |= new;
                 }
             }
-            if !changed {
-                break;
-            }
         }
-        Ok(self.outputs.iter().map(|p| row_reach[p.row]).collect())
+        reach
     }
 
     /// Re-places the design onto a (possibly larger) physical grid:
@@ -557,7 +635,7 @@ impl Crossbar {
         check_perm(col_perm, self.cols, phys_cols, "column")?;
         let mut placed = Crossbar::new(phys_rows, phys_cols, self.num_inputs);
         for (r, c, a) in self.programmed_devices() {
-            placed.devices[row_perm[r] * phys_cols + col_perm[c]] = a;
+            placed.set(row_perm[r], col_perm[c], a)?;
         }
         if let Some(input_row) = self.input_row {
             placed.input_row = Some(row_perm[input_row]);
@@ -582,9 +660,12 @@ impl Crossbar {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for r in 0..self.rows {
+        for (r, list) in self.row_junctions.iter().enumerate() {
+            let mut programmed = list.iter().peekable();
             for c in 0..self.cols {
-                let a = self.devices[r * self.cols + c];
+                let a = programmed
+                    .next_if(|j| j.wire as usize == c)
+                    .map_or(DeviceAssignment::Off, |j| decode(j.code));
                 let _ = write!(out, "{:>4}", a.to_string());
             }
             let mut tags = Vec::new();
@@ -857,14 +938,6 @@ mod tests {
             x.evaluate64(&[0]),
             Err(XbarError::BadLiteral { input: 7, .. })
         ));
-        let bad = DeviceAssignment::Literal {
-            input: 7,
-            negated: true,
-        };
-        assert!(matches!(
-            bad.conducts_checked(&[true]),
-            Err(XbarError::BadLiteral { .. })
-        ));
     }
 
     #[test]
@@ -927,6 +1000,165 @@ mod tests {
             x.place(&[0, 1, 1], &[0, 1, 2], 3, 3),
             Err(XbarError::Placement { .. })
         ));
+    }
+
+    fn lit(input: usize, negated: bool) -> DeviceAssignment {
+        DeviceAssignment::Literal { input, negated }
+    }
+
+    #[test]
+    fn writing_off_removes_a_junction() {
+        let mut x = fig2_crossbar();
+        assert_eq!(x.get(1, 2).unwrap(), DeviceAssignment::Off, "never set");
+        x.set(0, 0, DeviceAssignment::Off).unwrap();
+        assert_eq!(x.get(0, 0).unwrap(), DeviceAssignment::Off);
+        assert_eq!(x.programmed_devices().count(), 5);
+        assert!(x.row_junctions[0].iter().all(|j| j.wire != 0));
+        assert!(x.col_junctions[0].iter().all(|j| j.wire != 0));
+        // Clearing an unset junction is a no-op.
+        x.set(1, 2, DeviceAssignment::Off).unwrap();
+        assert_eq!(x.programmed_devices().count(), 5);
+    }
+
+    #[test]
+    fn equality_ignores_write_order_and_cleared_junctions() {
+        let devices = [
+            (0, 0, lit(1, false)),
+            (1, 0, DeviceAssignment::On),
+            (1, 1, lit(0, true)),
+            (2, 1, DeviceAssignment::On),
+            (0, 2, lit(2, false)),
+        ];
+        let mut forward = Crossbar::new(3, 3, 3);
+        for &(r, c, a) in &devices {
+            forward.set(r, c, a).unwrap();
+        }
+        let mut backward = Crossbar::new(3, 3, 3);
+        for &(r, c, a) in devices.iter().rev() {
+            backward.set(r, c, a).unwrap();
+        }
+        // Set-then-clear and overwrite leave no trace either.
+        backward.set(2, 2, lit(7, false)).unwrap();
+        backward.set(2, 2, DeviceAssignment::Off).unwrap();
+        backward.set(1, 1, DeviceAssignment::On).unwrap();
+        backward.set(1, 1, lit(0, true)).unwrap();
+        assert_eq!(forward, backward);
+        assert!(
+            backward.evaluate(&[true, true, true]).is_err(),
+            "no port yet"
+        );
+        backward.set(0, 1, DeviceAssignment::On).unwrap();
+        assert_ne!(forward, backward);
+    }
+
+    #[test]
+    fn programmed_devices_are_row_major() {
+        let mut x = Crossbar::new(4, 5, 2);
+        for &(r, c) in &[(3, 0), (0, 4), (2, 2), (0, 1), (3, 4), (2, 0)] {
+            x.set(r, c, DeviceAssignment::On).unwrap();
+        }
+        let order: Vec<(usize, usize)> = x.programmed_devices().map(|(r, c, _)| (r, c)).collect();
+        assert_eq!(order, vec![(0, 1), (0, 4), (2, 0), (2, 2), (3, 0), (3, 4)]);
+        let dense = x.program(&[false, false]).unwrap();
+        assert_eq!(dense.len(), 20);
+        assert_eq!(dense.iter().filter(|&&b| b).count(), 6);
+        assert!(dense[2 * 5 + 2]);
+    }
+
+    #[test]
+    fn errors_match_between_scalar_and_wide_evaluation() {
+        // No input port: reported before the arity.
+        let no_port = Crossbar::new(2, 2, 1);
+        assert_eq!(
+            no_port.evaluate(&[true, false]).unwrap_err(),
+            XbarError::NoInputPort
+        );
+        assert_eq!(
+            no_port.evaluate64(&[0, 0]).unwrap_err(),
+            XbarError::NoInputPort
+        );
+        // Wrong arity.
+        let x = fig2_crossbar();
+        let len = XbarError::InputLen {
+            got: 2,
+            expected: 3,
+        };
+        assert_eq!(x.evaluate(&[true, true]).unwrap_err(), len);
+        assert_eq!(x.evaluate64(&[0, 0]).unwrap_err(), len);
+        assert_eq!(x.reachable_rows(&[true, true]).unwrap_err(), len);
+        // A bad literal on a junction the flow never reaches (row 2 has no
+        // path from the input row), behind a good one in row-major order.
+        let mut x = Crossbar::new(3, 2, 1);
+        x.set(0, 0, lit(0, false)).unwrap();
+        x.set(2, 1, lit(9, true)).unwrap();
+        x.set(2, 0, lit(5, false)).unwrap();
+        x.set_input_row(0).unwrap();
+        x.add_output("f", 1).unwrap();
+        let bad = XbarError::BadLiteral {
+            input: 5,
+            num_inputs: 1,
+        };
+        assert_eq!(x.evaluate(&[true]).unwrap_err(), bad);
+        assert_eq!(x.evaluate64(&[u64::MAX]).unwrap_err(), bad);
+        assert_eq!(x.program(&[true]).unwrap_err(), bad);
+        // Clearing the bad literals restores evaluation.
+        x.set(2, 0, DeviceAssignment::Off).unwrap();
+        x.set(2, 1, DeviceAssignment::On).unwrap();
+        assert_eq!(x.evaluate(&[true]).unwrap(), vec![false]);
+        assert_eq!(x.evaluate64(&[u64::MAX]).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn unencodable_literal_is_rejected_at_set() {
+        let mut x = Crossbar::new(1, 2, 1);
+        let largest = (1 << 31) - 2;
+        for negated in [false, true] {
+            x.set(0, 0, lit(largest, negated)).unwrap();
+            assert_eq!(x.get(0, 0).unwrap(), lit(largest, negated));
+            for input in [largest + 1, usize::MAX] {
+                assert_eq!(
+                    x.set(0, 1, lit(input, negated)).unwrap_err(),
+                    XbarError::BadLiteral {
+                        input,
+                        num_inputs: 1
+                    }
+                );
+            }
+        }
+        assert_eq!(x.get(0, 1).unwrap(), DeviceAssignment::Off);
+        assert_eq!(
+            x.program(&[true]).unwrap_err(),
+            XbarError::BadLiteral {
+                input: largest,
+                num_inputs: 1
+            }
+        );
+    }
+
+    #[test]
+    fn serpentine_path_of_length_r_plus_c_evaluates() {
+        // A staircase walking row 0 → col 0 → row 1 → col 1 → … → row n−1,
+        // with the junctions written in reverse order so the path runs
+        // against every list's storage order. Each junction is literal
+        // x_(k mod 2) on even steps and the stuck-on bridge on odd ones, so
+        // the output is 1 exactly when both inputs are 1.
+        let n = 40;
+        let mut x = Crossbar::new(n, n - 1, 2);
+        for k in (0..n - 1).rev() {
+            x.set(k, k, lit(k % 2, false)).unwrap();
+            x.set(k + 1, k, DeviceAssignment::On).unwrap();
+        }
+        x.set_input_row(0).unwrap();
+        x.add_output("end", n - 1).unwrap();
+        x.add_output("mid", n / 2).unwrap();
+        for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+            assert_eq!(x.evaluate(&[a, b]).unwrap(), vec![a && b, a && b]);
+        }
+        let wide = x.evaluate64(&[0b1010, 0b1100]).unwrap();
+        assert_eq!(wide[0] & 0b1111, 0b1000);
+        assert_eq!(wide[1] & 0b1111, 0b1000);
+        let reached = x.reachable_rows(&[true, false]).unwrap();
+        assert_eq!(reached.iter().filter(|&&r| r).count(), 2, "rows 0 and 1");
     }
 
     #[test]

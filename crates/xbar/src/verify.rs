@@ -54,6 +54,31 @@ impl VerifyReport {
     }
 }
 
+/// Packs up to 64 assignments of `num_inputs` inputs into lane words for
+/// the 64-lane evaluators: bit `k` of word `i` is input `i` of
+/// `assignments[k]`. Unused lanes read 0.
+///
+/// # Panics
+///
+/// Panics when more than 64 assignments are given or one is shorter than
+/// `num_inputs`.
+pub fn pack_lanes(assignments: &[Vec<bool>], num_inputs: usize) -> Vec<u64> {
+    assert!(assignments.len() <= 64, "at most 64 lanes per word");
+    let mut words = vec![0u64; num_inputs];
+    for (lane, a) in assignments.iter().enumerate() {
+        for (w, &bit) in words.iter_mut().zip(&a[..num_inputs]) {
+            *w |= u64::from(bit) << lane;
+        }
+    }
+    words
+}
+
+/// Lane `lane` of packed words, one bool per word: the inverse of
+/// [`pack_lanes`] for one assignment (or one row of 64-lane outputs).
+pub fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
+    words.iter().map(|w| w >> lane & 1 == 1).collect()
+}
+
 fn assignments(num_inputs: usize, samples: usize) -> Vec<Vec<bool>> {
     if num_inputs <= 16 && (1usize << num_inputs) <= samples.max(1 << num_inputs.min(16)) {
         // Exhaustive when feasible.
@@ -112,14 +137,7 @@ pub fn verify_functional_budgeted(
     // Both sides support 64-wide evaluation; batch the assignments.
     'outer: for chunk in assigns.chunks(64) {
         budget.check()?;
-        let mut words = vec![0u64; k];
-        for (lane, a) in chunk.iter().enumerate() {
-            for (i, w) in words.iter_mut().enumerate() {
-                if a[i] {
-                    *w |= 1 << lane;
-                }
-            }
-        }
+        let words = pack_lanes(chunk, k);
         let got = xbar.evaluate64(&words)?;
         let want = reference
             .simulate64(&words)
@@ -366,6 +384,17 @@ mod tests {
         let (min_on, max_off) = e.electrical_margin.unwrap();
         assert!(min_on.is_finite());
         assert_eq!(max_off, f64::NEG_INFINITY, "no logic-0 outputs exist");
+    }
+
+    #[test]
+    fn lanes_pack_and_unpack() {
+        let chunk = vec![vec![true, false, true], vec![false, false, true]];
+        let words = pack_lanes(&chunk, 3);
+        assert_eq!(words, vec![0b01, 0b00, 0b11]);
+        assert_eq!(unpack_lane(&words, 0), chunk[0]);
+        assert_eq!(unpack_lane(&words, 1), chunk[1]);
+        assert_eq!(unpack_lane(&words, 2), vec![false; 3], "unused lane");
+        assert_eq!(pack_lanes(&[], 2), vec![0, 0]);
     }
 
     #[test]

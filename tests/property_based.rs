@@ -189,7 +189,7 @@ fn nor_decomposition_is_equivalent() {
             for bits in 0..1usize << 5 {
                 let assignment: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
                 assert_eq!(
-                    nor.eval(&assignment),
+                    nor.eval(&assignment).expect("arity matches"),
                     network.simulate(&assignment).expect("simulates")
                 );
             }
